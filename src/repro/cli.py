@@ -198,7 +198,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
         methods=tuple(args.methods.split(",")),
         memory_model=not args.no_memory_model,
         backend=args.backend,
-        tier=args.tier,
     )
     print(report.to_table())
 
@@ -289,7 +288,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         methods=methods,
         memory_model=not args.no_memory_model,
         on_error="collect",
-        tier=args.tier,
     )
     if args.explore > 0:
         from repro.explore import Explorer
@@ -419,30 +417,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"columnar backend: {col_checked} grid point(s) re-verified "
             f"against uncached eager replay, {col_skipped} fallback(s)"
         )
-        # Surrogate tier: every confident answer of the default model on
-        # this grid — exactly the answers tier="auto" would serve without
-        # fallback — is compared against an uncached exact replay under
-        # the surrogate tolerance class (docs/surrogate.md).
-        from repro.validate import verify_surrogate
-
-        sur_checked = sur_abstained = 0
-        for name, profile in profiles.items():
-            checked, abstained, sur_mismatches = verify_surrogate(
-                prophet,
-                profile,
-                threads,
-                schedules,
-                memory_model=memory_model,
-            )
-            sur_checked += checked
-            sur_abstained += abstained
-            for msg in sur_mismatches:
-                print(f"surrogate: {name}: {msg}", file=sys.stderr)
-                rc = 1
-        print(
-            f"surrogate tier: {sur_checked} confident answer(s) verified "
-            f"against uncached exact replay, {sur_abstained} abstention(s)"
-        )
         if args.quick:
             # Sample one explored point and re-verify its envelope extremes
             # by uncached eager replay (same contract as the columnar
@@ -489,7 +463,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
         jobs=args.jobs,
         backend=args.backend,
-        tier=args.tier,
         section_memo=args.section_memo,
         log_requests=args.log_requests,
     )
@@ -625,12 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per-point eager fallback; eager = scalar path everywhere",
     )
     p_predict.add_argument(
-        "--tier", choices=("exact", "surrogate", "auto"), default="exact",
-        help="prediction tier: exact = emulators; surrogate = learned model "
-        "wherever it has standing; auto = surrogate only where confident, "
-        "exact fallback elsewhere (see docs/surrogate.md)",
-    )
-    p_predict.add_argument(
         "--metrics", action="store_true",
         help="print the process-wide metrics registry after predicting",
     )
@@ -689,12 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("auto", "columnar", "eager"), default="auto",
         help="evaluation backend: auto/columnar = vectorized engine with "
         "per-point eager fallback; eager = scalar path everywhere",
-    )
-    p_sweep.add_argument(
-        "--tier", choices=("exact", "surrogate", "auto"), default="exact",
-        help="prediction tier: exact = emulators; surrogate = learned model "
-        "wherever it has standing; auto = surrogate only where confident, "
-        "exact fallback elsewhere (see docs/surrogate.md)",
     )
     p_sweep.add_argument(
         "--metrics", action="store_true",
@@ -775,11 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--backend", choices=("auto", "columnar", "eager"), default="auto",
         help="evaluation backend baked into every cached predictor",
-    )
-    p_serve.add_argument(
-        "--tier", choices=("exact", "surrogate", "auto"), default="exact",
-        help="default prediction tier for requests that don't set \"tier\" "
-        "themselves (see docs/surrogate.md)",
     )
     p_serve.add_argument(
         "--section-memo", type=int, default=None, metavar="N",

@@ -378,8 +378,6 @@ class BatchPredictor:
         jobs: Optional[int] = None,
         chunks_per_job: int = 4,
         backend: str = "auto",
-        tier: str = "exact",
-        surrogate=None,
     ) -> None:
         """``jobs=None`` uses every CPU; ``jobs=1`` runs in-process (no pool
         is created, which keeps single-job sweeps overhead-free and makes
@@ -388,10 +386,7 @@ class BatchPredictor:
         this many chunks so an expensive grid point cannot straggle the
         whole sweep.  ``backend`` is ``"auto"``/``"columnar"`` (vectorized
         engine with per-point eager fallback) or ``"eager"`` (scalar path
-        everywhere).  ``tier`` is the default answer tier for sweeps
-        (``"exact"``, ``"surrogate"``, or ``"auto"`` — see
-        ``docs/surrogate.md``); ``surrogate`` overrides the process-default
-        model for non-exact tiers."""
+        everywhere)."""
         if prophet is None:
             from repro.core.prophet import ParallelProphet
 
@@ -409,13 +404,6 @@ class BatchPredictor:
                 f"or 'eager'"
             )
         self.backend = backend
-        if tier not in ("exact", "surrogate", "auto"):
-            raise ConfigurationError(
-                f"unknown tier {tier!r}; expected 'exact', 'surrogate' "
-                f"or 'auto'"
-            )
-        self.tier = tier
-        self.surrogate = surrogate
         #: Bounds of the predictor-lifetime caches below (entries, LRU).
         self.executor_cache_size = 64
         self.engine_cache_size = 32
@@ -439,7 +427,6 @@ class BatchPredictor:
         paradigm: str = "omp",
         memory_model: bool = True,
         on_error: str = "raise",
-        tier: Optional[str] = None,
     ) -> dict[str, SpeedupReport]:
         """Evaluate the full (workload × schedule × threads) grid.
 
@@ -451,9 +438,6 @@ class BatchPredictor:
         grid point failed; ``on_error="collect"`` instead attaches the
         :class:`SweepTaskFailure` records to ``report.failures`` of the
         affected workload and keeps the successful estimates.
-
-        ``tier=None`` uses the predictor's configured tier; pass
-        ``"exact"``/``"surrogate"``/``"auto"`` to override per call.
         """
         if isinstance(profiles, ProgramProfile):
             profiles = {"workload": profiles}
@@ -485,7 +469,7 @@ class BatchPredictor:
             for t in threads
         ]
         reports = {name: SpeedupReport() for name in profiles}
-        for task, outcome in self.run(tasks, profiles, on_error=on_error, tier=tier):
+        for task, outcome in self.run(tasks, profiles, on_error=on_error):
             if isinstance(outcome, SweepTaskFailure):
                 reports[task.workload].failures.append(outcome)
             else:
@@ -497,7 +481,6 @@ class BatchPredictor:
         tasks: Sequence[SweepTask],
         profiles: Mapping[str, ProgramProfile],
         on_error: str = "raise",
-        tier: Optional[str] = None,
     ) -> list[tuple[SweepTask, Union[list[SpeedupEstimate], SweepTaskFailure]]]:
         """Evaluate an explicit task list; results come back in task order.
 
@@ -511,23 +494,10 @@ class BatchPredictor:
         :class:`repro.errors.BatchError` carrying every failure is raised
         *after* the full merge; ``on_error="collect"`` returns the failure
         records in-place so callers can inspect partial results.
-
-        With a non-exact ``tier`` (argument, or the predictor's default)
-        the surrogate answers what it can *in the parent before dispatch* —
-        the same pre-pass whether ``jobs`` is 1 or N, so surrogate metrics
-        and results stay identical across job counts.  Only grid points
-        with remaining exact work are dispatched; a point whose exact
-        methods fail reports the failure for the whole point.
         """
         if on_error not in ("raise", "collect"):
             raise ConfigurationError(
                 f'on_error must be "raise" or "collect", got {on_error!r}'
-            )
-        tier = tier if tier is not None else self.tier
-        if tier not in ("exact", "surrogate", "auto"):
-            raise ConfigurationError(
-                f"unknown tier {tier!r}; expected 'exact', 'surrogate' "
-                f"or 'auto'"
             )
         for task in tasks:
             if task.workload not in profiles:
@@ -535,15 +505,10 @@ class BatchPredictor:
                     f"task references unknown workload {task.workload!r}"
                 )
 
-        pre: dict[int, dict[str, SpeedupEstimate]] = {}
-        if tier != "exact":
-            indexed = self._surrogate_prepass(tasks, profiles, tier, pre)
-        else:
-            indexed = list(enumerate(tasks))
-        self._attach_burdens([task for _i, task in indexed], profiles)
+        self._attach_burdens(tasks, profiles)
 
         by_workload: dict[str, list[tuple[int, SweepTask]]] = {}
-        for index, task in indexed:
+        for index, task in enumerate(tasks):
             by_workload.setdefault(task.workload, []).append((index, task))
 
         jobs = min(self.jobs, len(tasks)) if tasks else 1
@@ -615,24 +580,6 @@ class BatchPredictor:
                     gathered.extend(results)
                     if snapshot is not None:
                         metrics.merge(snapshot)
-        if pre:
-            # Fold surrogate answers back into grid slots: fully-answered
-            # points join the merge directly; partially-answered points
-            # interleave surrogate and exact estimates in the task's method
-            # order; an exact failure reports the whole point as failed.
-            merged: dict[
-                int, Union[list[SpeedupEstimate], SweepTaskFailure]
-            ] = dict(gathered)
-            for index, answered in pre.items():
-                exact = merged.get(index)
-                if isinstance(exact, SweepTaskFailure):
-                    continue
-                by_method = {e.method: e for e in (exact or [])}
-                merged[index] = [
-                    answered.get(m, by_method.get(m))
-                    for m in tasks[index].methods
-                ]
-            gathered = list(merged.items())
         gathered.sort(key=lambda pair: pair[0])
         metrics.inc("batch.tasks", float(len(tasks)))
 
@@ -659,101 +606,6 @@ class BatchPredictor:
         if failures and on_error == "raise":
             raise BatchError(failures)
         return [(tasks[index], outcome) for index, outcome in gathered]
-
-    def _surrogate_prepass(
-        self,
-        tasks: Sequence[SweepTask],
-        profiles: Mapping[str, ProgramProfile],
-        tier: str,
-        pre: dict[int, dict[str, SpeedupEstimate]],
-    ) -> list[tuple[int, SweepTask]]:
-        """Answer supported grid points from the surrogate before dispatch.
-
-        Fills ``pre`` (index → method → estimate) and returns the indexed
-        task list still needing exact evaluation, with answered methods
-        stripped.  Runs entirely in the parent so hit/abstain/fallback
-        metrics are identical for in-process and pooled sweeps.  Non-FIFO
-        handoffs and unparsable schedules are left for the exact path (the
-        model is trained on FIFO replays only; malformed schedules must
-        keep producing their structured worker-side failures).
-        """
-        from dataclasses import replace as dc_replace
-
-        from repro.surrogate import get_default_surrogate
-
-        sur = (
-            self.surrogate
-            if self.surrogate is not None
-            else get_default_surrogate()
-        )
-        metrics = get_metrics()
-        inv = get_checker()
-        nested_cache: dict[int, bool] = {}
-        indexed: list[tuple[int, SweepTask]] = []
-        for index, task in enumerate(tasks):
-            profile = profiles[task.workload]
-            try:
-                schedule = Schedule.parse(task.schedule)
-            except ConfigurationError:
-                schedule = None
-            answered: dict[str, SpeedupEstimate] = {}
-            remaining: list[str] = []
-            for method in task.methods:
-                ans = None
-                if schedule is not None and task.handoff == "fifo":
-                    ans = sur.answer(
-                        profile,
-                        profile.machine,
-                        method,
-                        task.paradigm,
-                        schedule,
-                        task.n_threads,
-                        task.memory_model,
-                    )
-                    if ans is not None and tier == "auto" and not ans.confident:
-                        metrics.inc("surrogate.abstains")
-                        ans = None
-                if ans is None:
-                    if schedule is not None:
-                        metrics.inc("surrogate.fallbacks")
-                    remaining.append(method)
-                    continue
-                metrics.inc("surrogate.hits")
-                est = SpeedupEstimate(
-                    method=method,
-                    paradigm=task.paradigm,
-                    schedule=schedule.label,
-                    n_threads=task.n_threads,
-                    speedup=ans.speedup,
-                    with_memory_model=task.memory_model,
-                )
-                if inv.enabled:
-                    nested = nested_cache.get(id(profile))
-                    if nested is None:
-                        nested = has_nested_sections(profile.tree)
-                        nested_cache[id(profile)] = nested
-                    inv.check_speedup(
-                        method,
-                        est.speedup,
-                        task.n_threads,
-                        profile.machine.n_cores,
-                        nested,
-                        where=f"batch:{task.workload}/{method}"
-                        f"/{est.schedule}/t={task.n_threads}",
-                    )
-                answered[method] = est
-            if answered:
-                pre[index] = answered
-            if remaining:
-                indexed.append(
-                    (
-                        index,
-                        task
-                        if len(remaining) == len(task.methods)
-                        else dc_replace(task, methods=tuple(remaining)),
-                    )
-                )
-        return indexed
 
     # ----------------------------------------------------- cache lifetime
 
@@ -842,10 +694,9 @@ def sweep(
     prophet=None,
     on_error: str = "raise",
     backend: str = "auto",
-    tier: str = "exact",
 ) -> dict[str, SpeedupReport]:
     """Module-level convenience wrapper around :meth:`BatchPredictor.sweep`."""
-    return BatchPredictor(prophet, jobs=jobs, backend=backend, tier=tier).sweep(
+    return BatchPredictor(prophet, jobs=jobs, backend=backend).sweep(
         profiles,
         threads=threads,
         schedules=schedules,

@@ -151,8 +151,6 @@ class ParallelProphet:
         methods: Sequence[str] = ("syn",),
         memory_model: bool = True,
         backend: str = "auto",
-        tier: str = "exact",
-        surrogate=None,
     ) -> SpeedupReport:
         """Predict speedups for every (method, schedule, thread count).
 
@@ -165,36 +163,11 @@ class ParallelProphet:
         grid point and falls back to the eager emulators wherever the
         engine declines (locks, nesting, dynamic schedules, ...);
         ``"eager"`` forces the scalar per-point path everywhere.
-
-        ``tier`` selects *who* answers (see ``docs/surrogate.md``):
-        ``"exact"`` (default) runs the emulators; ``"surrogate"`` answers
-        every supported grid point from the learned model (``surrogate``,
-        or the process default); ``"auto"`` answers from the model only
-        where its uncertainty is below the calibrated threshold and falls
-        back to the exact path elsewhere.  Hits/fallbacks/abstains are
-        recorded under ``surrogate.*`` in the metrics registry.
         """
-        if tier not in ("exact", "surrogate", "auto"):
-            raise ConfigurationError(
-                f"unknown tier {tier!r}; expected 'exact', 'surrogate' "
-                f"or 'auto'"
-            )
         for m in methods:
             if m not in ("ff", "syn"):
                 raise ConfigurationError(f"unknown prediction method {m!r}")
         scheds = [s if isinstance(s, Schedule) else Schedule.parse(s) for s in schedules]
-        if tier != "exact":
-            return self._predict_tiered(
-                profile,
-                threads,
-                paradigm,
-                scheds,
-                methods,
-                memory_model,
-                backend,
-                tier,
-                surrogate,
-            )
         engine = self._make_engine(backend, profile)
         if memory_model and profile.sections:
             self.attach_burdens(profile, threads)
@@ -264,95 +237,6 @@ class ParallelProphet:
                         )
                         est = run.estimate
                     report.add(est)
-        if self.inv.enabled:
-            self._check_estimates(profile, report, "predict")
-        return report
-
-    def _predict_tiered(
-        self,
-        profile: ProgramProfile,
-        threads: Sequence[int],
-        paradigm: str,
-        scheds: Sequence[Schedule],
-        methods: Sequence[str],
-        memory_model: bool,
-        backend: str,
-        tier: str,
-        surrogate,
-    ) -> SpeedupReport:
-        """The surrogate-first prediction path behind ``tier != "exact"``.
-
-        Every grid point the model supports (and, under ``auto``, is
-        confident about) is answered without touching an emulator — no
-        burden calibration, no lowering; the rest are evaluated through the
-        same per-point worker the batch sweeper uses, so a fallback answer
-        is byte-identical to the exact path's.
-        """
-        from repro.core.batch import SweepTask, _predict_point
-        from repro.obs import get_metrics
-        from repro.surrogate import get_default_surrogate
-
-        sur = surrogate if surrogate is not None else get_default_surrogate()
-        metrics = get_metrics()
-        answers: dict[tuple[str, int, str], SpeedupEstimate] = {}
-        fallback: dict[tuple[str, int], list[str]] = {}
-        for schedule in scheds:
-            for t in threads:
-                for method in methods:
-                    ans = sur.answer(
-                        profile,
-                        self.machine,
-                        method,
-                        paradigm,
-                        schedule,
-                        t,
-                        memory_model,
-                    )
-                    if ans is not None and tier == "auto" and not ans.confident:
-                        metrics.inc("surrogate.abstains")
-                        ans = None
-                    if ans is None:
-                        metrics.inc("surrogate.fallbacks")
-                        fallback.setdefault((schedule.label, t), []).append(
-                            method
-                        )
-                        continue
-                    metrics.inc("surrogate.hits")
-                    answers[(schedule.label, t, method)] = SpeedupEstimate(
-                        method=method,
-                        paradigm=paradigm,
-                        schedule=schedule.label,
-                        n_threads=t,
-                        speedup=ans.speedup,
-                        with_memory_model=memory_model,
-                    )
-        if fallback:
-            if memory_model and profile.sections:
-                self.attach_burdens(
-                    profile, sorted({t for _label, t in fallback})
-                )
-            engine = self._make_engine(backend, profile)
-            ff = FastForwardEmulator(self.overheads, tracer=self.obs)
-            for (label, t), needed in fallback.items():
-                task = SweepTask(
-                    workload="workload",
-                    schedule=label,
-                    n_threads=t,
-                    methods=tuple(needed),
-                    paradigm=paradigm,
-                    memory_model=memory_model,
-                )
-                for est in _predict_point(
-                    profile, self.overheads, task, ff, None, engine
-                ):
-                    answers[(label, t, est.method)] = est
-        report = SpeedupReport()
-        for schedule in scheds:
-            for t in threads:
-                # ff before syn per point, matching the exact path's order.
-                for method in ("ff", "syn"):
-                    if method in methods:
-                        report.add(answers[(schedule.label, t, method)])
         if self.inv.enabled:
             self._check_estimates(profile, report, "predict")
         return report

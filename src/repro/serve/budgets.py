@@ -55,8 +55,8 @@ class RequestBudgets:
     ``timeout_s`` is the *ceiling*: a request may ask for less via its
     ``timeout_s`` field but never more.  ``max_grid_points`` counts
     (workload, schedule, thread-count, method) tuples; ``max_threads``
-    bounds any single requested thread count so a typo'd ``threads``
-    cannot allocate absurd simulated machines.
+    bounds any single requested thread count and the machine's ``cores``
+    so a typo'd request cannot allocate absurd simulated machines.
     """
 
     max_grid_points: int = 4096
@@ -71,14 +71,15 @@ class RequestBudgets:
                 f"budget of {self.max_grid_points}; split the request"
             )
 
-    def check_threads(self, threads) -> None:
-        """Refuse absurd thread counts before they reach the simulator."""
+    def check_threads(self, threads, what: str = "thread count") -> None:
+        """Refuse absurd thread (or core) counts before they reach the
+        simulator."""
         for t in threads:
-            if not isinstance(t, int) or t < 1:
-                raise ServeError(f"thread counts must be positive integers, got {t!r}")
+            if isinstance(t, bool) or not isinstance(t, int) or t < 1:
+                raise ServeError(f"{what} must be a positive integer, got {t!r}")
             if t > self.max_threads:
                 raise BudgetExceeded(
-                    f"thread count {t} exceeds the budget of {self.max_threads}"
+                    f"{what} {t} exceeds the budget of {self.max_threads}"
                 )
 
     def clamp_timeout(self, requested: Optional[float]) -> float:

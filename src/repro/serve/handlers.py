@@ -34,8 +34,31 @@ from repro.serve.workqueue import WorkQueue
 #: Methods a request may ask of the batch predictor.
 _METHODS = ("ff", "syn", "real")
 
-#: Prediction tiers a request may select (see ``docs/surrogate.md``).
-_TIERS = ("exact", "surrogate", "auto")
+
+def _int_field(payload: dict, name: str, default: int) -> int:
+    """``payload[name]`` as an integer (bools and numeric strings refused)."""
+    value = payload.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _str_list(payload: dict, name: str, default: list[str], sep: str) -> list[str]:
+    """``payload[name]`` as a non-empty list of strings; a string is split
+    on ``sep``."""
+    value = payload.get(name, default)
+    if isinstance(value, str):
+        value = [v for v in value.split(sep) if v]
+    if (
+        not isinstance(value, list)
+        or not value
+        or not all(isinstance(v, str) for v in value)
+    ):
+        raise ServeError(
+            f"{name} must be a non-empty list of strings or a "
+            f"{sep!r}-separated string, got {value!r}"
+        )
+    return list(value)
 
 
 def estimate_to_dict(est) -> dict[str, Any]:
@@ -82,16 +105,10 @@ class ServeState:
         cache: Optional[CacheLayer] = None,
         queue: Optional[WorkQueue] = None,
         budgets: Optional[RequestBudgets] = None,
-        default_tier: str = "exact",
     ) -> None:
-        if default_tier not in _TIERS:
-            raise ServeError(
-                f"unknown tier {default_tier!r} (expected one of {_TIERS})"
-            )
         self.cache = cache if cache is not None else CacheLayer()
         self.queue = queue if queue is not None else WorkQueue()
         self.budgets = budgets if budgets is not None else RequestBudgets()
-        self.default_tier = default_tier
         self.started = time.time()
         self.requests = 0
         #: Installed by the server: called (in a helper thread) on
@@ -154,31 +171,25 @@ class ServeState:
         if not isinstance(threads, list) or not threads:
             raise ServeError(f"threads must be a non-empty list, got {threads!r}")
         self.budgets.check_threads(threads)
-        schedules = payload.get("schedules", ["static"])
-        if isinstance(schedules, str):
-            schedules = [s for s in schedules.split(";") if s]
-        methods = payload.get("methods", ["syn"])
-        if isinstance(methods, str):
-            methods = [m for m in methods.split(",") if m]
+        # The simulated machine's core count spawns one DES thread per core
+        # in every calibration probe: bounded like a thread count.
+        cores = _int_field(payload, "cores", 12)
+        self.budgets.check_threads([cores], what="core count")
+        schedules = _str_list(payload, "schedules", ["static"], ";")
+        methods = _str_list(payload, "methods", ["syn"], ",")
         for m in methods:
             if m not in _METHODS:
                 raise ServeError(f"unknown method {m!r} (expected one of {_METHODS})")
-        tier = str(payload.get("tier", self.default_tier))
-        if tier not in _TIERS:
-            raise ServeError(f"unknown tier {tier!r} (expected one of {_TIERS})")
         n_points = len(workloads) * len(schedules) * len(threads) * len(methods)
         self.budgets.check_grid(n_points)
         return {
             "workloads": sorted(set(workloads)),
             "threads": [int(t) for t in threads],
-            "schedules": [str(s) for s in schedules],
-            "methods": [str(m) for m in methods],
+            "schedules": schedules,
+            "methods": methods,
             "paradigm": payload.get("paradigm"),
             "memory_model": bool(payload.get("memory_model", True)),
-            "cores": int(payload.get("cores", 12)),
-            # The tier is part of the canonical request — surrogate and
-            # exact answers for the same grid cache separately.
-            "tier": tier,
+            "cores": cores,
         }
 
     def _through_cache_and_queue(
@@ -236,7 +247,6 @@ class ServeState:
             "queue": self.queue.stats(),
             "cache": self.cache.stats(),
             "metrics": serve_counters,
-            "surrogate": metrics.counters(prefix="surrogate."),
             "hit_rates": {
                 name: rate
                 for name, rate in metrics.hit_rates().items()
@@ -279,7 +289,6 @@ class ServeState:
             paradigm=paradigm,
             memory_model=request["memory_model"],
             on_error="collect",
-            tier=request["tier"],
         )
         return {
             "request": request,
@@ -321,7 +330,7 @@ class ServeState:
 
     def _explore(self, payload: dict) -> dict:
         request = self._grid(payload, workloads_field="workload")
-        samples = int(payload.get("samples", 6))
+        samples = _int_field(payload, "samples", 6)
         if samples < 1:
             raise ServeError(f"samples must be >= 1, got {samples}")
         # Each grid point is replayed once per handoff variant.
@@ -330,7 +339,7 @@ class ServeState:
             where="explore request",
         )
         request["samples"] = samples
-        request["seed"] = int(payload.get("seed", 0))
+        request["seed"] = _int_field(payload, "seed", 0)
 
         def run() -> dict:
             from repro.explore import Explorer

@@ -50,9 +50,6 @@ class ServeConfig:
     #: Sweep-execution knobs baked into every cached predictor.
     jobs: int = 1
     backend: str = "auto"
-    #: Default prediction tier for requests that don't pass ``tier``
-    #: themselves ("exact" | "surrogate" | "auto"; see docs/surrogate.md).
-    tier: str = "exact"
     #: Cache-class bounds (entries, not bytes).
     predictor_cache: int = 8
     profile_cache: int = 64
@@ -130,7 +127,6 @@ class ReproServer:
             ),
             queue=WorkQueue(workers=config.workers, depth=config.queue_depth),
             budgets=config.budgets,
-            default_tier=config.tier,
         )
         handler = type(
             "_BoundHandler",

@@ -21,7 +21,6 @@ from repro.validate.differential import (
     DifferentialReport,
     GridPoint,
     TolerancePolicy,
-    verify_surrogate,
 )
 from repro.validate.fuzz import (
     build_program,
@@ -42,7 +41,6 @@ from repro.validate.policy import (
     FF_BOUND_TOLERANCE,
     FF_TOLERANCE,
     REAL_TOLERANCE,
-    SURROGATE_TOLERANCE,
     SYN_TOLERANCE,
 )
 
@@ -56,7 +54,6 @@ __all__ = [
     "GridPoint",
     "InvariantChecker",
     "REAL_TOLERANCE",
-    "SURROGATE_TOLERANCE",
     "SYN_TOLERANCE",
     "TolerancePolicy",
     "Violation",
@@ -68,5 +65,4 @@ __all__ = [
     "has_nested_sections",
     "run_fuzz",
     "set_checker",
-    "verify_surrogate",
 ]

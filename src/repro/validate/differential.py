@@ -40,7 +40,6 @@ from repro.validate.invariants import has_nested_sections
 from repro.validate.policy import (
     ENVELOPE_SLACK,
     FF_TOLERANCE,
-    SURROGATE_TOLERANCE,
     SYN_TOLERANCE,
 )
 
@@ -85,11 +84,6 @@ class TolerancePolicy:
     syn_vs_real: float = SYN_TOLERANCE
     ff_vs_real: float = FF_TOLERANCE
     envelope_slack: float = ENVELOPE_SLACK
-    #: The surrogate tier predicts the *emulators'* answers, so its
-    #: tolerance class compares surrogate vs exact (not vs REAL): a
-    #: confident surrogate answer further than this from the exact method
-    #: it stands in for is a violation (see :func:`verify_surrogate`).
-    surrogate_vs_exact: float = SURROGATE_TOLERANCE
 
 
 @dataclass
@@ -355,80 +349,3 @@ class DifferentialHarness:
                 )
 
         return DiffRecord(point, speedups, status="ok", envelope=envelope)
-
-
-def verify_surrogate(
-    prophet,
-    profile,
-    threads: Sequence[int],
-    schedules: Iterable[str] = ("static",),
-    paradigm: str = "omp",
-    memory_model: bool = True,
-    surrogate=None,
-    tolerance: Optional[float] = None,
-) -> tuple[int, int, list[str]]:
-    """Validate surrogate answers against uncached exact replays.
-
-    For every grid point the surrogate answers *confidently* (the only
-    answers the ``auto`` tier would serve without fallback), recompute the
-    exact prediction with the section-replay memo cleared — so the
-    reference cannot come from warm state the surrogate's training run
-    left behind — and compare under the surrogate tolerance class.
-
-    Returns ``(checked, abstained, mismatches)``: grid points compared,
-    grid points the surrogate declined (unsupported or unconfident — those
-    fall back to exact in production and need no check), and human-readable
-    mismatch descriptions (empty means the tier is sound on this grid).
-    """
-    from repro.core.executor import clear_section_memo
-    from repro.core.report import error_ratio
-    from repro.runtime.tasks import Schedule
-
-    if surrogate is None:
-        from repro.surrogate import get_default_surrogate
-
-        surrogate = get_default_surrogate()
-    if tolerance is None:
-        tolerance = SURROGATE_TOLERANCE
-    machine = prophet.machine
-    checked = abstained = 0
-    mismatches: list[str] = []
-    metrics = get_metrics()
-    for sched in schedules:
-        schedule = Schedule.parse(sched)
-        for t in threads:
-            for method in ("ff", "syn"):
-                ans = surrogate.answer(
-                    profile,
-                    machine,
-                    method,
-                    paradigm,
-                    schedule,
-                    t,
-                    memory_model=memory_model,
-                )
-                if ans is None or not ans.confident:
-                    abstained += 1
-                    continue
-                clear_section_memo()
-                exact_report = prophet.predict(
-                    profile,
-                    threads=[t],
-                    paradigm=paradigm,
-                    schedules=[schedule.label],
-                    methods=(method,),
-                    memory_model=memory_model,
-                )
-                exact = exact_report.speedup(method=method, n_threads=t)
-                checked += 1
-                metrics.inc("validate.surrogate.checked")
-                err = error_ratio(ans.speedup, exact)
-                if err > tolerance:
-                    metrics.inc("validate.surrogate.mismatches")
-                    mismatches.append(
-                        f"{method}/{schedule.label}/t={t}: surrogate "
-                        f"{ans.speedup:.3f}x vs exact {exact:.3f}x "
-                        f"(error {err:.1%} > tolerance {tolerance:.0%}, "
-                        f"spread {ans.spread:.4f})"
-                    )
-    return checked, abstained, mismatches

@@ -52,20 +52,10 @@ FF_BOUND_TOLERANCE = 1e-9
 #: (traversal-overhead subtraction, RLE averaging).
 ENVELOPE_SLACK = 0.06
 
-#: Learned-surrogate answer vs. the exact emulator it stands in for
-#: (relative speedup error).  Matches SYN_TOLERANCE: a surrogate answer is
-#: acceptable when it deviates from its oracle by no more than the oracle
-#: itself may deviate from ground truth — the tier never adds a *new*
-#: class of error on top of the model error already accepted.  Training
-#: calibrates its confidence gate against 0.8× this bound so confident
-#: answers keep headroom inside it.
-SURROGATE_TOLERANCE = 0.25
-
 __all__ = [
     "ENVELOPE_SLACK",
     "FF_BOUND_TOLERANCE",
     "FF_TOLERANCE",
     "REAL_TOLERANCE",
-    "SURROGATE_TOLERANCE",
     "SYN_TOLERANCE",
 ]

@@ -363,6 +363,46 @@ class TestServeState:
         assert status == 400
         state.queue.shutdown(timeout=5.0)
 
+    @pytest.mark.parametrize(
+        "path, fields, status, code",
+        [
+            ("/predict", {"cores": "abc"}, 400, "bad_request"),
+            ("/predict", {"cores": "12"}, 400, "bad_request"),
+            ("/predict", {"cores": True}, 400, "bad_request"),
+            ("/predict", {"cores": 0}, 400, "bad_request"),
+            ("/predict", {"cores": 1_000_000}, 413, "grid_budget_exceeded"),
+            ("/predict", {"methods": 5}, 400, "bad_request"),
+            ("/predict", {"methods": []}, 400, "bad_request"),
+            ("/sweep", {"methods": [5]}, 400, "bad_request"),
+            ("/predict", {"schedules": 5}, 400, "bad_request"),
+            ("/predict", {"schedules": [5]}, 400, "bad_request"),
+            ("/sweep", {"schedules": ""}, 400, "bad_request"),
+            ("/explore", {"samples": "x"}, 400, "bad_request"),
+            ("/explore", {"samples": 2.5}, 400, "bad_request"),
+            ("/explore", {"seed": "x"}, 400, "bad_request"),
+        ],
+    )
+    def test_malformed_fields_rejected_before_compute(self, path, fields, status, code):
+        # A structured 4xx, decided before anything is queued.
+        state = ServeState()
+        workload = "workloads" if path == "/sweep" else "workload"
+        payload = {workload: "npb_ep", "threads": [2], **fields}
+        try:
+            got, body = state.handle("POST", path, payload)
+            assert (got, body["error"]) == (status, code)
+            assert state.queue.stats()["submitted"] == 0
+        finally:
+            state.queue.shutdown(timeout=5.0)
+
+    def test_tier_field_is_ignored(self):
+        state = ServeState()
+        try:
+            plain = state._grid(FAST, workloads_field="workload")
+            tiered = state._grid({**FAST, "tier": "auto"}, workloads_field="workload")
+            assert tiered == plain
+        finally:
+            state.queue.shutdown(timeout=5.0)
+
     def test_server_wires_config_through(self):
         srv = ReproServer(ServeConfig(port=0, queue_depth=7, predictor_cache=3))
         try:
