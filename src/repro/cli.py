@@ -59,6 +59,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import ParallelProphet
+from repro.core.executor import PARADIGMS
 from repro.core.report import error_ratio
 from repro.core.serialize import load_profile, save_profile
 from repro.obs import get_metrics
@@ -417,6 +418,20 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"columnar backend: {col_checked} grid point(s) re-verified "
             f"against uncached eager replay, {col_skipped} fallback(s)"
         )
+        # Calibration: the closed-form Ψ/Φ probes re-run on the DES kernel
+        # (a sample under --quick, every probe otherwise).
+        from repro.core.microbench import verify_calibration
+
+        cal_checked, cal_mismatches = verify_calibration(
+            prophet.calibration(threads), quick=args.quick
+        )
+        for msg in cal_mismatches:
+            print(f"calibration: {msg}", file=sys.stderr)
+            rc = 1
+        print(
+            f"calibration: {cal_checked} probe(s) re-verified against the "
+            f"DES kernel, {len(cal_mismatches)} mismatch(es)"
+        )
         if args.quick:
             # Sample one explored point and re-verify its envelope extremes
             # by uncached eager replay (same contract as the columnar
@@ -585,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument(
         "--methods", default="ff,syn", help="comma-separated: ff,syn"
     )
-    p_predict.add_argument("--paradigm", choices=("omp", "cilk", "omp_task"))
+    p_predict.add_argument("--paradigm", choices=PARADIGMS)
     p_predict.add_argument(
         "--no-memory-model", action="store_true", help="disable burden factors"
     )
@@ -762,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("real", "syn"), default="real",
         help="real = ground-truth replay; syn = synthesizer fake-delay replay",
     )
-    p_trace.add_argument("--paradigm", choices=("omp", "cilk", "omp_task"))
+    p_trace.add_argument("--paradigm", choices=PARADIGMS)
     p_trace.add_argument(
         "--out", default="trace.json", help="output path (default trace.json)"
     )

@@ -53,6 +53,9 @@ class ReplayMode(enum.Enum):
     FAKE = "fake"
 
 
+#: Parallel paradigms a program tree can be replayed under.
+PARADIGMS = ("omp", "cilk", "omp_task")
+
 #: Synthesizer per-node traversal costs (paper Section IV-E: "these two units
 #: of overhead on our machine are both approximately 50 cycles").
 OVERHEAD_ACCESS_NODE = 50.0
@@ -270,7 +273,7 @@ class ParallelExecutor:
         handoff: str = "fifo",
         handoff_seed: int = 0,
     ) -> None:
-        if paradigm not in ("omp", "cilk", "omp_task"):
+        if paradigm not in PARADIGMS:
             raise EmulationError(f"unknown paradigm {paradigm!r}")
         self.machine = machine
         self.paradigm = paradigm

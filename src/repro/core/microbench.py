@@ -27,8 +27,10 @@ import numpy as np
 
 from repro.errors import CalibrationError
 from repro.obs import get_metrics
+from repro.simhw.dram import DramModel, SegmentDemand, segment_rates
 from repro.simhw.machine import MachineConfig
 from repro.simos import Compute, Join, SimKernel, Spawn
+from repro.validate.invariants import get_checker
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,8 @@ class CalibrationResult:
     phi: PhiFit
     min_traffic_mbs: float
     samples: list[MicrobenchSample] = field(default_factory=list)
+    #: Instructions per probe thread the samples were measured with.
+    instructions: float = 50_000_000.0
 
     def predict_per_thread_traffic(self, delta: float, n_threads: int) -> float:
         """δᵗ = Ψₜ(δ) with interpolation for uncalibrated thread counts."""
@@ -158,6 +162,31 @@ class CalibrationResult:
 # ------------------------------------------------------------- measurement
 
 
+def _sample(
+    machine: MachineConfig,
+    n_threads: int,
+    mpi: float,
+    instructions: float,
+    elapsed: float,
+) -> MicrobenchSample:
+    """The counters one probe run reads, given its elapsed cycles."""
+    cpu_cycles = instructions
+    misses = instructions * mpi
+    base = cpu_cycles + misses * machine.base_miss_stall
+    seconds = machine.cycles_to_seconds(elapsed)
+    per_thread_traffic = misses * machine.line_size / seconds / 1e6
+    stall = (elapsed - cpu_cycles) / misses if misses > 0 else 0.0
+    serial_seconds = machine.cycles_to_seconds(base)
+    serial_traffic = misses * machine.line_size / serial_seconds / 1e6
+    return MicrobenchSample(
+        n_threads=n_threads,
+        mpi=mpi,
+        serial_traffic_mbs=serial_traffic,
+        per_thread_traffic_mbs=per_thread_traffic,
+        stall_per_miss=stall,
+    )
+
+
 def _run_probe(
     machine: MachineConfig, n_threads: int, mpi: float, instructions: float
 ) -> MicrobenchSample:
@@ -165,11 +194,13 @@ def _run_probe(
 
     Each probe executes ``instructions`` at CPI$ = 1 with ``mpi``
     LLC misses per instruction (the paper's microbenchmark controls the LLC
-    miss ratio while pinning L1/L2 behaviour).
+    miss ratio while pinning L1/L2 behaviour).  This is the full DES run:
+    calibration uses it only where the closed form does not apply
+    (:func:`_closed_form_applies`); tests and ``repro check`` use it as the
+    parity oracle of :func:`_closed_form_probes`.
     """
-    cpu_cycles = instructions
     misses = instructions * mpi
-    base = cpu_cycles + misses * machine.base_miss_stall
+    base = instructions + misses * machine.base_miss_stall
 
     kernel = SimKernel(machine)
 
@@ -186,19 +217,135 @@ def _run_probe(
 
     kernel.spawn(master(), name="mb-master")
     elapsed = kernel.run()
+    return _sample(machine, n_threads, mpi, instructions, elapsed)
 
-    seconds = machine.cycles_to_seconds(elapsed)
-    per_thread_traffic = misses * machine.line_size / seconds / 1e6
-    stall = (elapsed - cpu_cycles) / misses if misses > 0 else 0.0
-    serial_seconds = machine.cycles_to_seconds(base)
-    serial_traffic = misses * machine.line_size / serial_seconds / 1e6
-    return MicrobenchSample(
-        n_threads=n_threads,
-        mpi=mpi,
-        serial_traffic_mbs=serial_traffic,
-        per_thread_traffic_mbs=per_thread_traffic,
-        stall_per_miss=stall,
+
+def _closed_form_applies(machine: MachineConfig, n_threads: int) -> bool:
+    """Whether a probe of ``n_threads`` threads runs uncontended for cores.
+
+    With at most one probe per core and free context switches, every probe
+    segment starts at time 0 and keeps its core to the end, so each socket
+    runs one fixed demand set and the DES outcome is one DRAM solve per
+    socket.  More threads than cores queue and get preempted; a switch cost
+    lands on the probe that takes over the spawning thread's core."""
+    return n_threads <= machine.n_cores and machine.context_switch_cycles == 0
+
+
+def _closed_form_probes(
+    machine: MachineConfig,
+    probes: Sequence[tuple[int, float]],
+    instructions: float,
+) -> list[MicrobenchSample]:
+    """Answer ``(n_threads, mpi)`` probes with one batched DRAM solve.
+
+    Every probe must satisfy :func:`_closed_form_applies`.  The kernel
+    places the ``t`` probe threads on ``t`` consecutive cores (``1..t``,
+    wrapping to core 0 once the spawning thread joins).  Under the
+    interleaved socket mapping any ``t`` consecutive cores spread over the
+    sockets alike, and the sockets have equal peaks, so cores ``0..t-1``
+    give the same per-socket counts.  A socket hosting ``c`` probes runs
+    ``c`` identical segments of memory fraction ``f`` and demand ``d``
+    (:func:`segment_rates`, as the kernel rates them).  One
+    :meth:`DramModel.solve_batch` over every ``(probe, socket)`` lane —
+    padded to the widest socket — gives each socket's stall multiplier
+    ``k``; the socket finishes at ``base·(1 − f + f·k)`` and the probe at
+    its slowest socket.  Matches :func:`_run_probe` to the last ulp or two
+    (the DES re-rates the survivors of a same-time completion).
+    """
+    pool = DramModel(
+        machine, peak_bytes_per_sec=machine.dram_peak_bytes_per_sec_per_socket
     )
+    lane_probe: list[int] = []
+    lane_count: list[int] = []
+    lane_f: list[float] = []
+    lane_d: list[float] = []
+    lane_base: list[float] = []
+    for i, (n_threads, mpi) in enumerate(probes):
+        misses = instructions * mpi
+        base = instructions + misses * machine.base_miss_stall
+        f, d = segment_rates(machine, base, misses)
+        per_socket = [0] * machine.n_sockets
+        for core in range(n_threads):
+            per_socket[machine.socket_of(core)] += 1
+        for count in per_socket:
+            if count:
+                lane_probe.append(i)
+                lane_count.append(count)
+                lane_f.append(f)
+                lane_d.append(d)
+                lane_base.append(base)
+    count = np.asarray(lane_count)
+    f = np.asarray(lane_f)
+    d = np.asarray(lane_d)
+    occupied = np.arange(int(count.max(initial=0)))[None, :] < count[:, None]
+    k, _ = pool.solve_batch(
+        np.where(occupied, f[:, None], 0.0), np.where(occupied, d[:, None], 0.0)
+    )
+    inv = get_checker()
+    if inv.enabled:
+        for j in range(len(k)):
+            demands = [SegmentDemand(lane_f[j], lane_d[j])] * lane_count[j]
+            inv.check_dram_cap(
+                pool, demands, float(k[j]), where="microbench.closed_form"
+            )
+    elapsed = np.zeros(len(probes))
+    np.maximum.at(elapsed, lane_probe, np.asarray(lane_base) * (1.0 - f + f * k))
+    return [
+        _sample(machine, n_threads, mpi, instructions, float(elapsed[i]))
+        for i, (n_threads, mpi) in enumerate(probes)
+    ]
+
+
+def _measure(
+    machine: MachineConfig,
+    probes: Sequence[tuple[int, float]],
+    instructions: float,
+) -> list[MicrobenchSample]:
+    """Every ``(n_threads, mpi)`` probe's sample, in order: the closed form
+    answers all it applies to in one batch, the DES kernel the rest."""
+    fast = [p for p in probes if _closed_form_applies(machine, p[0])]
+    closed = dict(zip(fast, _closed_form_probes(machine, fast, instructions)))
+    metrics = get_metrics()
+    metrics.inc("microbench.probes.closed_form", float(len(fast)))
+    metrics.inc("microbench.probes.des", float(len(probes) - len(fast)))
+    return [
+        closed[p] if p in closed else _run_probe(machine, *p, instructions)
+        for p in probes
+    ]
+
+
+#: The measured fields of a :class:`MicrobenchSample`.
+_SAMPLE_FIELDS = ("serial_traffic_mbs", "per_thread_traffic_mbs", "stall_per_miss")
+
+
+def verify_calibration(
+    cal: CalibrationResult, quick: bool = False, rel_tol: float = 1e-9
+) -> tuple[int, list[str]]:
+    """Re-run a calibration's probes on the DES kernel and compare.
+
+    ``quick`` re-verifies every MPI point at one and two threads and at the
+    full core count; otherwise every probe.  Returns ``(probes checked,
+    mismatch messages)``; a mismatch is any sample field off by more than
+    ``rel_tol`` relative.
+    """
+    machine = cal.machine
+    keep = {1, 2, machine.n_cores}
+    checked = 0
+    mismatches: list[str] = []
+    for sample in cal.samples:
+        if quick and sample.n_threads not in keep:
+            continue
+        oracle = _run_probe(machine, sample.n_threads, sample.mpi, cal.instructions)
+        checked += 1
+        for name in _SAMPLE_FIELDS:
+            got = getattr(sample, name)
+            want = getattr(oracle, name)
+            if abs(got - want) > rel_tol * max(abs(want), 1e-300):
+                mismatches.append(
+                    f"t={sample.n_threads} mpi={sample.mpi:.6g} {name}: "
+                    f"{got!r} vs DES {want!r}"
+                )
+    return checked, mismatches
 
 
 def calibrate_memory_model(
@@ -228,14 +375,11 @@ def calibrate_memory_model(
     if not thread_counts:
         raise CalibrationError("need at least one thread count >= 2")
 
-    samples: list[MicrobenchSample] = []
-    serial_by_mpi: dict[float, MicrobenchSample] = {}
-    for mpi in mpi_points:
-        serial = _run_probe(machine, 1, float(mpi), instructions)
-        serial_by_mpi[float(mpi)] = serial
-        samples.append(serial)
-        for t in thread_counts:
-            samples.append(_run_probe(machine, t, float(mpi), instructions))
+    probes = [
+        (t, float(mpi)) for mpi in mpi_points for t in [1, *thread_counts]
+    ]
+    samples = _measure(machine, probes, instructions)
+    serial_by_mpi = {s.mpi: s for s in samples if s.n_threads == 1}
 
     # -- fit Ψ per thread count -------------------------------------------------
     psi: dict[int, PsiFit] = {}
@@ -293,4 +437,5 @@ def calibrate_memory_model(
         phi=phi,
         min_traffic_mbs=min_traffic_mbs,
         samples=samples,
+        instructions=instructions,
     )

@@ -25,6 +25,7 @@ import json
 import time
 from typing import Any, Callable, Optional
 
+from repro.core.executor import PARADIGMS
 from repro.errors import ReproError, ServeError
 from repro.obs import get_metrics
 from repro.serve.budgets import Deadline, RequestBudgets
@@ -180,6 +181,16 @@ class ServeState:
         for m in methods:
             if m not in _METHODS:
                 raise ServeError(f"unknown method {m!r} (expected one of {_METHODS})")
+        paradigm = payload.get("paradigm")
+        if paradigm is not None and paradigm not in PARADIGMS:
+            raise ServeError(
+                f"unknown paradigm {paradigm!r} (expected one of {PARADIGMS})"
+            )
+        memory_model = payload.get("memory_model", True)
+        if not isinstance(memory_model, bool):
+            raise ServeError(
+                f"memory_model must be true or false, got {memory_model!r}"
+            )
         n_points = len(workloads) * len(schedules) * len(threads) * len(methods)
         self.budgets.check_grid(n_points)
         return {
@@ -187,8 +198,8 @@ class ServeState:
             "threads": [int(t) for t in threads],
             "schedules": schedules,
             "methods": methods,
-            "paradigm": payload.get("paradigm"),
-            "memory_model": bool(payload.get("memory_model", True)),
+            "paradigm": paradigm,
+            "memory_model": memory_model,
             "cores": cores,
         }
 
@@ -247,6 +258,9 @@ class ServeState:
             "queue": self.queue.stats(),
             "cache": self.cache.stats(),
             "metrics": serve_counters,
+            # Which path answered each Ψ/Φ calibration probe: the batched
+            # closed form or the DES kernel.
+            "calibration_probes": metrics.counters(prefix="microbench.probes."),
             "hit_rates": {
                 name: rate
                 for name, rate in metrics.hit_rates().items()

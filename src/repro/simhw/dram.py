@@ -64,6 +64,24 @@ def _quantize(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def segment_rates(
+    config: MachineConfig, cycles: float, llc_misses: float
+) -> tuple[float, float]:
+    """``(mem_fraction, demand_bytes_per_sec)`` of a compute segment that
+    runs ``cycles`` uncontended cycles and issues ``llc_misses`` misses.
+
+    The memory fraction is the share of the segment spent in base-latency
+    miss stalls; the demand spreads the misses' line fills evenly over the
+    segment's uncontended wall time.  The DES kernel rates every attached
+    segment with this, and the calibration microbenchmark's closed form
+    rates its probes with it."""
+    miss_stall = llc_misses * config.base_miss_stall
+    mem_fraction = min(1.0, miss_stall / cycles) if cycles > 0 else 0.0
+    seconds = config.cycles_to_seconds(cycles) if cycles > 0 else 0.0
+    demand = (llc_misses * config.line_size / seconds) if seconds > 0 else 0.0
+    return mem_fraction, demand
+
+
 @dataclass(frozen=True)
 class SegmentDemand:
     """Memory demand of one running compute segment.

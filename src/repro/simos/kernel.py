@@ -32,7 +32,7 @@ from repro.errors import DeadlockError, SimulationError
 from repro.obs import get_tracer
 from repro.simhw.clock import VirtualClock
 from repro.simhw.counters import CounterSet, PerfCounters
-from repro.simhw.dram import DramModel, SegmentDemand
+from repro.simhw.dram import DramModel, SegmentDemand, segment_rates
 from repro.simhw.machine import MachineConfig
 from repro.simos.scheduler import CpuScheduler
 from repro.simos.sync import SimBarrier, SimEvent, SimMutex, normalize_handoff
@@ -830,13 +830,7 @@ class SimKernel:
             mem_fraction = 0.0
             demand = 0.0
         else:
-            miss_stall = req.llc_misses * cfg.base_miss_stall
-            if cycles > 0:
-                mem_fraction = min(1.0, miss_stall / cycles)
-            else:
-                mem_fraction = 0.0
-            seconds = cfg.cycles_to_seconds(cycles) if cycles > 0 else 0.0
-            demand = (req.llc_misses * cfg.line_size / seconds) if seconds > 0 else 0.0
+            mem_fraction, demand = segment_rates(cfg, cycles, req.llc_misses)
         seg = thread.seg_cache
         if seg is not None:
             thread.seg_cache = None

@@ -226,7 +226,9 @@ class InvariantChecker:
                 expected=cycles_in,
             )
 
-    def check_dram_cap(self, pool, demands, k: float) -> None:
+    def check_dram_cap(
+        self, pool, demands, k: float, where: str = "kernel._rerate_socket"
+    ) -> None:
         """The solved stall factor keeps achieved bandwidth under the peak."""
         self.checks_run += 1
         if k >= _K_SATURATED:
@@ -239,7 +241,7 @@ class InvariantChecker:
         if achieved > peak * (1.0 + DRAM_TOL):
             self.fail(
                 "dram_bandwidth_cap",
-                "kernel._rerate_socket",
+                where,
                 "aggregate achieved DRAM bandwidth exceeds the configured peak",
                 observed=achieved,
                 expected=peak,

@@ -328,7 +328,23 @@ class TestCheck:
         assert "differential:" in out
         assert "0 violation(s)" in out
         assert "0 violations" in out  # invariant selfcheck line
+        # 18 MPI points at t = 1, 2 and the full core count.
+        assert (
+            "calibration: 54 probe(s) re-verified against the DES kernel, "
+            "0 mismatch(es)" in out
+        )
         assert (get_checker().enabled, get_checker().mode) == before
+
+    def test_check_fails_on_calibration_mismatch(self, capsys, monkeypatch):
+        from repro.core import microbench
+
+        monkeypatch.setattr(
+            microbench, "verify_calibration", lambda cal, quick: (1, ["t=2 off"])
+        )
+        assert main(["check", "--quick"]) == 1
+        captured = capsys.readouterr()
+        assert "calibration: t=2 off" in captured.err
+        assert "1 mismatch(es)" in captured.out
 
     def test_check_explicit_grid(self, capsys):
         rc = main(
@@ -346,7 +362,10 @@ class TestCheck:
             ]
         )
         assert rc == 0
-        assert "grid point(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "grid point(s)" in out
+        # Every probe of the t = 2, 4 calibration: 18 x (1 + 2).
+        assert "calibration: 54 probe(s) re-verified" in out
 
 
 class TestParadigmChoices:

@@ -380,6 +380,14 @@ class TestServeState:
             ("/explore", {"samples": "x"}, 400, "bad_request"),
             ("/explore", {"samples": 2.5}, 400, "bad_request"),
             ("/explore", {"seed": "x"}, 400, "bad_request"),
+            ("/predict", {"memory_model": "false"}, 400, "bad_request"),
+            ("/predict", {"memory_model": 0}, 400, "bad_request"),
+            ("/sweep", {"memory_model": None}, 400, "bad_request"),
+            ("/check", {"memory_model": "no"}, 400, "bad_request"),
+            ("/predict", {"paradigm": "bogus"}, 400, "bad_request"),
+            ("/predict", {"paradigm": 5}, 400, "bad_request"),
+            ("/sweep", {"paradigm": ["omp"]}, 400, "bad_request"),
+            ("/explore", {"paradigm": "OMP"}, 400, "bad_request"),
         ],
     )
     def test_malformed_fields_rejected_before_compute(self, path, fields, status, code):
@@ -391,6 +399,33 @@ class TestServeState:
             got, body = state.handle("POST", path, payload)
             assert (got, body["error"]) == (status, code)
             assert state.queue.stats()["submitted"] == 0
+        finally:
+            state.queue.shutdown(timeout=5.0)
+
+    def test_stats_show_calibration_probe_paths(self, fresh_metrics):
+        state = ServeState()
+        try:
+            payload = {**FAST, "memory_model": True, "cores": 4}
+            assert state.handle("POST", "/predict", payload)[0] == 200
+            _, stats = state.handle("GET", "/stats", {})
+            # 4 cores calibrate threads 2 and 4: 18 MPI points x (1 + 2).
+            assert stats["calibration_probes"] == {
+                "microbench.probes.closed_form": 54.0,
+                "microbench.probes.des": 0.0,
+            }
+        finally:
+            state.queue.shutdown(timeout=5.0)
+
+    def test_unknown_paradigm_lists_the_choices(self):
+        state = ServeState()
+        try:
+            status, body = state.handle("POST", "/predict", {**FAST, "paradigm": "x"})
+            assert status == 400
+            assert all(p in body["message"] for p in ("omp", "cilk", "omp_task"))
+            request = state._grid(
+                {**FAST, "paradigm": "cilk"}, workloads_field="workload"
+            )
+            assert (request["paradigm"], request["memory_model"]) == ("cilk", False)
         finally:
             state.queue.shutdown(timeout=5.0)
 
